@@ -3,7 +3,7 @@
 // encdbdb-bench command prints the corresponding paper-style tables; these
 // benchmarks expose the same measurement points to Go tooling.
 //
-// Mapping (see DESIGN.md §3 and EXPERIMENTS.md):
+// Mapping (the README's Benchmarks section describes each experiment):
 //
 //	Table 1  -> BenchmarkTable1* (EncDBDB vs PlainDBDB, the 8.9% figure)
 //	Table 3  -> BenchmarkTable3* (dictionary construction per repetition)

@@ -1,6 +1,7 @@
 // Command encdbdb-bench regenerates the paper's evaluation (§6): every
 // table and figure has a corresponding experiment that prints paper-style
-// rows, plus the ablations called out in DESIGN.md.
+// rows, plus ablations of this implementation's design choices
+// (-exp ablation-*).
 //
 // Usage:
 //
@@ -8,8 +9,9 @@
 //	encdbdb-bench -exp fig8a -rows 10000,100000,1000000 -queries 500 -rs 2,100
 //	encdbdb-bench -exp table6 -rows 1000000
 //
-// Absolute numbers depend on the host; compare shapes against the paper per
-// EXPERIMENTS.md. Paper scale is -rows up to 10900000 and -queries 500.
+// Absolute numbers depend on the host; compare shapes (who wins, by what
+// factor) against the paper's. The README's Benchmarks section describes
+// each experiment. Paper scale is -rows up to 10900000 and -queries 500.
 package main
 
 import (

@@ -9,8 +9,9 @@
 // order option bounds order leakage (sorted / rotated / unsorted). Range
 // queries run in two phases: a dictionary search executed inside a trusted
 // enclave over PAE-encrypted dictionary entries, and a plaintext attribute
-// vector scan in the untrusted engine. See DESIGN.md for the architecture
-// and the substitutions this reproduction makes for Intel SGX hardware.
+// vector scan in the untrusted engine. See docs/architecture.md for the
+// architecture, including the simulated enclave that stands in for Intel
+// SGX hardware.
 //
 // # Roles
 //
@@ -115,8 +116,9 @@ const (
 type Range = search.Range
 
 // Client is a connection to a remote EncDBDB provider. It is multiplexed:
-// concurrent calls share the connection without serializing round trips
-// (with transparent lock-step fallback against old servers).
+// concurrent calls share the connection without serializing round trips.
+// Client and provider must be built from the same protocol version; Dial
+// fails against any other.
 type Client = wire.Client
 
 // Pool is a fixed-size set of multiplexed connections to one remote
@@ -134,12 +136,6 @@ type ClientOption = wire.ClientOption
 // more times with exponential backoff starting at base (safe for all
 // operations: the server sheds load before executing anything).
 func WithBusyRetry(n int, base time.Duration) ClientOption { return wire.WithBusyRetry(n, base) }
-
-// WithMaxProto caps the wire protocol version the client negotiates (the
-// newest by default). Set 2 to hold the connection on the gob stream codec
-// or 1 to force the lock-step protocol — the knobs the cross-version
-// compatibility matrix exercises against older providers.
-func WithMaxProto(v int) ClientOption { return wire.WithMaxProto(v) }
 
 // Dial connects to a remote provider started with Database.Serve or the
 // encdbdb-server command.

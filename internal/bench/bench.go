@@ -3,8 +3,9 @@
 // and the repository's testing.B benchmarks.
 //
 // Each experiment prints rows in the paper's presentation. Absolute numbers
-// depend on the host; EXPERIMENTS.md compares the *shapes* (who wins, by
-// what factor, where behaviour crosses over) against the paper's.
+// depend on the host; compare the *shapes* (who wins, by what factor, where
+// behaviour crosses over) against the paper's. The README's Benchmarks
+// section describes what each experiment measures.
 package bench
 
 import (

@@ -31,10 +31,9 @@ type remoteConn interface {
 
 // Remote measures the wire layer's query-dispatch path: aggregate
 // throughput and p99 latency of 8 concurrent workers issuing point queries
-// against a loopback provider over (a) one lock-step v1 connection — every
-// worker serializes behind the connection mutex, the pre-multiplexing
-// design, (b) one multiplexed connection with all calls in flight at once,
-// and (c) a 4-connection pool. Tables are kept small so the protocol, not
+// against a loopback provider over (a) one multiplexed connection with all
+// calls in flight at once and (b) a 4-connection pool, reported relative to
+// (a). Tables are kept small so the protocol, not
 // the engine scan, dominates — this is a dispatch benchmark, the engine
 // side is covered by -exp concurrency. A final section measures the
 // batched-insert bulk-load fast path against per-row round trips.
@@ -119,12 +118,11 @@ func Remote(cfg Config) error {
 		name string
 		dial func() (remoteConn, error)
 	}{
-		{"lock-step v1, 1 conn", func() (remoteConn, error) { return wire.DialLockstep(addr) }},
 		{"multiplexed, 1 conn", func() (remoteConn, error) { return wire.Dial(addr) }},
 		{fmt.Sprintf("pooled, %d conns", remotePoolSize), func() (remoteConn, error) { return wire.DialPool(addr, remotePoolSize) }},
 	}
 	tw := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "client mode\tthroughput\tp99 latency\tvs lock-step\n")
+	fmt.Fprintf(tw, "client mode\tthroughput\tp99 latency\tvs 1 conn\n")
 	var base float64
 	for _, m := range modes {
 		conn, err := m.dial()

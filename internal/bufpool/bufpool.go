@@ -19,9 +19,9 @@ package bufpool
 import "sync/atomic"
 
 const (
-	// minClassBits..maxClassBits spans 512 B to 1 MiB in power-of-two
-	// classes — the same window the wire layer's retain cap uses. Larger
-	// requests are served by direct allocation and never pooled.
+	// minClassBits..maxClassBits spans 512 B to 1 MiB (MaxSize) in
+	// power-of-two classes. Larger requests are served by direct allocation
+	// and never pooled.
 	minClassBits = 9
 	maxClassBits = 20
 	numClasses   = maxClassBits - minClassBits + 1
@@ -31,6 +31,10 @@ const (
 	// pin buffers for the life of the process.
 	perClass = 64
 )
+
+// MaxSize is the largest size class. Get serves larger requests by direct
+// allocation.
+const MaxSize = 1 << maxClassBits
 
 // Buf is one pooled buffer. B is the caller's payload window, sized by Get;
 // its capacity is the size class. Callers must not grow B past its capacity
@@ -107,6 +111,10 @@ func (p *Pool) Get(n int) *Buf {
 	return &Buf{B: make([]byte, n, 1<<(minClassBits+c)), class: int32(c)}
 }
 
+// Unpooled wraps b, a buffer the pool did not allocate, so that code which
+// releases its buffers with Put can carry it too. Put drops it.
+func Unpooled(b []byte) *Buf { return &Buf{B: b, class: -1} }
+
 // Put returns a buffer to its class's free list. Oversized buffers and
 // buffers overflowing a full free list are dropped for the garbage
 // collector. Put(nil) is a no-op so cleanup paths need no nil checks.
@@ -119,10 +127,14 @@ func (p *Pool) Put(b *Buf) {
 		return
 	}
 	b.B = b.B[:cap(b.B)]
+	// Account before the send: once b is on the free list another
+	// goroutine may Get it and rewrite b.B.
+	size := uint64(cap(b.B))
+	p.retained.Add(size)
 	select {
 	case p.free[b.class] <- b:
-		p.retained.Add(uint64(cap(b.B)))
 	default:
+		p.retained.Add(^(size - 1)) // list full: b is dropped after all
 	}
 }
 

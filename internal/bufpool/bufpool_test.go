@@ -54,8 +54,10 @@ func TestOversizeNeverPooled(t *testing.T) {
 		t.Fatalf("oversize len = %d", len(b.B))
 	}
 	p.Put(b)
+	// A wrapped foreign buffer is dropped even when it would fit a class.
+	p.Put(Unpooled(make([]byte, 512)))
 	if st := p.Stats(); st.RetainedBytes != 0 {
-		t.Errorf("oversize buffer retained: %+v", st)
+		t.Errorf("oversize or unpooled buffer retained: %+v", st)
 	}
 	p.Put(nil) // must not panic
 }
@@ -102,5 +104,26 @@ func BenchmarkGetPut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Put(p.Get(600))
+	}
+}
+
+// TestPutHandoff hands pooled buffers back and forth between two goroutines
+// through the pool, so under -race any access Put makes to a buffer after
+// publishing it collides with the other side's Get.
+func TestPutHandoff(t *testing.T) {
+	p := New()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			p.Put(p.Get(512))
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		p.Put(p.Get(512))
+	}
+	<-done
+	if st := p.Stats(); st.RetainedBytes > perClass*512 {
+		t.Errorf("retained %d bytes, more than one full class list", st.RetainedBytes)
 	}
 }

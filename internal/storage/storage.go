@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/encdbdb/encdbdb/internal/av"
 	"github.com/encdbdb/encdbdb/internal/dict"
@@ -439,7 +440,7 @@ func (d *decoder) bytes() []byte {
 	p := make([]byte, 0, min(n, decodeChunk))
 	for len(p) < n && d.err == nil {
 		m := min(n-len(p), decodeChunk)
-		p = p[:len(p)+m]
+		p = slices.Grow(p, m)[:len(p)+m]
 		d.read(p[len(p)-m:])
 	}
 	if d.err != nil {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 	"github.com/encdbdb/encdbdb/internal/pae"
@@ -209,6 +210,11 @@ func TestRestoreRejectsExistingTable(t *testing.T) {
 func TestRestoreRejectsTamperedSplitRefs(t *testing.T) {
 	p, db, master := newStack(t)
 	seed(t, p)
+	// seed leaves every row in the delta; merge so the main split has head
+	// entries to tamper with.
+	if err := db.Merge(context.Background(), "t1"); err != nil {
+		t.Fatalf("Merge: %v", err)
+	}
 	snap, err := db.Snapshot("t1")
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +222,7 @@ func TestRestoreRejectsTamperedSplitRefs(t *testing.T) {
 	// An out-of-range entry reference must be rejected before it can cause
 	// out-of-bounds access.
 	if len(snap.Columns[0].Main.Head) == 0 {
-		t.Skip("no head entries")
+		t.Fatal("merged snapshot has no main head entries")
 	}
 	snap.Columns[0].Main.Head[0].Len = 1 << 30
 	_, db2 := cloneStack(t, master)
@@ -322,6 +328,56 @@ func TestFormatMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRoundTripLargeTail round-trips a main split whose dictionary tail is
+// larger than the decoder's 1 MiB read chunk, so decoding it must grow the
+// buffer across several chunks.
+func TestRoundTripLargeTail(t *testing.T) {
+	db := engine.New(nil)
+	schema := engine.Schema{Table: "big", Columns: []engine.ColumnDef{
+		{Name: "c", Kind: dict.ED9, MaxLen: 64, Plain: true},
+	}}
+	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]engine.Row, 40000)
+	for i := range rows {
+		rows[i] = engine.Row{"c": fmt.Appendf(nil, "%064d", i)}
+	}
+	ctx := context.Background()
+	if err := db.InsertBatch(ctx, "big", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Merge(ctx, "big"); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.Snapshot("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := snap.Columns[0].Main.Tail
+	if len(tail) <= 2<<20 {
+		t.Fatalf("tail is %d bytes, want > 2 MiB", len(tail))
+	}
+	var buf bytes.Buffer
+	if err := storage.WriteTable(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := storage.ReadTable(&buf)
+	if err != nil {
+		t.Fatalf("ReadTable: %v", err)
+	}
+	if !bytes.Equal(got.Columns[0].Main.Tail, tail) {
+		t.Fatal("dictionary tail changed across the round trip")
+	}
+	db2 := engine.New(nil)
+	if err := db2.Restore(got); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db2.Rows("big"); err != nil || n != len(rows) {
+		t.Fatalf("restored rows = %d, %v; want %d", n, err, len(rows))
 	}
 }
 

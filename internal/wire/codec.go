@@ -11,55 +11,30 @@ import (
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
 
-// Protocol v3 replaces gob with a hand-rolled binary codec on the hot
-// data-plane messages. Every v3 frame payload opens with a codec byte:
-//
-//	codecGob — the body is one self-contained gob document of the request
-//	  or response envelope. The path for the rare control ops whose types
-//	  are not worth a hand encoding (attestation quotes, sealed keys, bulk
-//	  column imports), and the compatibility valve for anything else.
-//	codecBin — the body is the binary encoding below: no reflection, no
-//	  type descriptors, and on decode no copies — byte fields alias the
-//	  frame payload.
+// The binary codec encodes every request and response envelope. A frame
+// payload is exactly one encoded envelope: no codec tag, no type
+// descriptors, no reflection.
 //
 // Binary primitives: unsigned varints for all integers and lengths,
 // single bytes for tags and bools, length-prefixed bytes with a +1 nil
 // bias (0 encodes a nil slice, n+1 a slice of n bytes), and
 // length-prefixed UTF-8 for strings. Envelope fields that are zero are
-// omitted behind a presence bitmask, mirroring gob's omit-zero semantics
-// so the two codecs answer identically.
+// omitted behind a presence bitmask.
 //
 // The same encoding functions run twice per message — once against a
 // counting sink to learn the frame length, once against the connection's
 // buffered writer — so the frame header never needs a scratch buffer copy
 // and the two passes cannot disagree without being detected (the writer
 // checks the byte count it produced against the announced length).
+//
+// On decode, data-plane byte fields (query ranges, row cells, result
+// cells) alias the frame payload. The byte fields of the control ops —
+// quote, sealed key, and imported column split — are copied out, because
+// what they build outlives the frame: an imported split becomes table
+// storage.
 
-// Codec tags (first payload byte of every v3 frame).
-const (
-	codecGob = 0x00
-	codecBin = 0x01
-)
-
-// reqNeedsGob reports whether a request must travel as a gob document:
-// its op carries enclave types (quotes, sealed keys) or bulk split data
-// the binary codec does not encode. Batches inherit the requirement from
-// their sub-requests.
-func reqNeedsGob(req *request) bool {
-	switch req.Op {
-	case opQuote, opProvision, opImportColumn:
-		return true
-	case opBatch:
-		for i := range req.Subs {
-			if reqNeedsGob(&req.Subs[i]) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Request presence bits.
+// Request presence bits, encoded as a uvarint: the data-plane bits fit its
+// first byte.
 const (
 	reqHasQuery = 1 << iota
 	reqHasRow
@@ -67,6 +42,11 @@ const (
 	reqHasSet
 	reqHasSchema
 	reqHasSubs
+	reqHasNonce
+	reqHasSealed
+	reqHasSplit
+
+	reqKnownFlags = 1<<iota - 1
 )
 
 // Response presence bits.
@@ -78,6 +58,7 @@ const (
 	respHasMerge
 	respHasSubs
 	respMore
+	respHasQuote
 )
 
 // binSink is the write half of the binary codec. The encode functions are
@@ -201,7 +182,7 @@ func encRequest(s binSink, req *request) {
 	s.str(req.Table)
 	s.str(req.Column)
 	s.uvarint(req.Cancel)
-	var flags byte
+	var flags uint64
 	if req.Query.Table != "" || len(req.Query.Filters) > 0 || len(req.Query.Project) > 0 ||
 		req.Query.CountOnly || req.Query.Limit > 0 {
 		flags |= reqHasQuery
@@ -221,7 +202,16 @@ func encRequest(s binSink, req *request) {
 	if len(req.Subs) > 0 {
 		flags |= reqHasSubs
 	}
-	s.byte(flags)
+	if req.Nonce != nil {
+		flags |= reqHasNonce
+	}
+	if req.Sealed.OwnerPublicKey != nil || req.Sealed.Ciphertext != nil {
+		flags |= reqHasSealed
+	}
+	if !splitIsZero(&req.Split) {
+		flags |= reqHasSplit
+	}
+	s.uvarint(flags)
 	if flags&reqHasQuery != 0 {
 		encQuery(s, &req.Query)
 	}
@@ -243,6 +233,49 @@ func encRequest(s binSink, req *request) {
 			encRequest(s, &req.Subs[i])
 		}
 	}
+	if flags&reqHasNonce != 0 {
+		s.bytes(req.Nonce)
+	}
+	if flags&reqHasSealed != 0 {
+		s.bytes(req.Sealed.OwnerPublicKey)
+		s.bytes(req.Sealed.Ciphertext)
+	}
+	if flags&reqHasSplit != 0 {
+		encSplit(s, &req.Split)
+	}
+}
+
+// splitIsZero reports whether d is the zero SplitData (nothing to encode).
+func splitIsZero(d *dict.SplitData) bool {
+	return d.Kind == 0 && !d.Plain && d.MaxLen == 0 && d.BSMax == 0 &&
+		d.EncRndOffset == nil && d.AV == nil && d.Head == nil && d.Tail == nil
+}
+
+// encSplit encodes an imported column split: its parameters, the attribute
+// vector, the dictionary's entry references, and the entry bytes.
+func encSplit(s binSink, d *dict.SplitData) {
+	s.uvarint(uint64(d.Kind))
+	boolByte(s, d.Plain)
+	s.uvarint(uint64(d.MaxLen))
+	s.uvarint(uint64(d.BSMax))
+	s.bytes(d.EncRndOffset)
+	s.uvarint(uint64(len(d.AV)))
+	for _, vid := range d.AV {
+		s.uvarint(uint64(vid))
+	}
+	s.uvarint(uint64(len(d.Head)))
+	for _, ref := range d.Head {
+		s.uvarint(uint64(ref.Off))
+		s.uvarint(uint64(ref.Len))
+	}
+	s.bytes(d.Tail)
+}
+
+func encQuote(s binSink, q *enclave.Quote) {
+	s.bytes(q.Measurement[:])
+	s.bytes(q.PublicKey)
+	s.bytes(q.Nonce)
+	s.bytes(q.MAC)
 }
 
 func encQuery(s binSink, q *engine.Query) {
@@ -321,6 +354,10 @@ func encResponse(s binSink, resp *response) {
 	if resp.More {
 		flags |= respMore
 	}
+	if resp.Quote.Measurement != (enclave.Measurement{}) || resp.Quote.PublicKey != nil ||
+		resp.Quote.Nonce != nil || resp.Quote.MAC != nil {
+		flags |= respHasQuote
+	}
 	s.byte(flags)
 	s.uvarint(uint64(resp.N))
 	if flags&respHasErr != 0 {
@@ -346,6 +383,9 @@ func encResponse(s binSink, resp *response) {
 		for i := range resp.Subs {
 			encResponse(s, &resp.Subs[i])
 		}
+	}
+	if flags&respHasQuote != 0 {
+		encQuote(s, &resp.Quote)
 	}
 }
 
@@ -470,6 +510,15 @@ func (d *binReader) bytes() []byte {
 	return b
 }
 
+// ownedBytes is bytes for fields that outlive the frame: it returns a copy.
+func (d *binReader) ownedBytes() []byte {
+	b := d.bytes()
+	if b == nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(b)), b...)
+}
+
 // strBytes returns the raw bytes of the next string field, aliasing the
 // payload; callers intern or copy it.
 func (d *binReader) strBytes() []byte {
@@ -518,11 +567,22 @@ func (in *intern) get(b []byte) string {
 // previous decodes. Identifier strings are interned in in; byte values
 // alias the payload d was reset with.
 func decRequest(d *binReader, req *request, in *intern) {
+	decRequestAt(d, req, in, false)
+}
+
+// decRequestAt decodes a request or, when nested, a batch sub-request.
+// Batches do not nest, so a sub-request carrying sub-requests of its own is
+// malformed; rejecting it also bounds the decoder's recursion depth.
+func decRequestAt(d *binReader, req *request, in *intern, nested bool) {
 	req.Op = op(d.byte())
 	req.Table = in.get(d.strBytes())
 	req.Column = in.get(d.strBytes())
 	req.Cancel = d.uvarint()
-	flags := d.byte()
+	flags := d.uvarint()
+	if flags&^reqKnownFlags != 0 || (nested && flags&reqHasSubs != 0) {
+		d.fail()
+		return
+	}
 	if flags&reqHasQuery != 0 {
 		decQuery(d, &req.Query, in)
 	}
@@ -547,9 +607,57 @@ func decRequest(d *binReader, req *request, in *intern) {
 		}
 		for i := range req.Subs {
 			resetRequest(&req.Subs[i])
-			decRequest(d, &req.Subs[i], in)
+			decRequestAt(d, &req.Subs[i], in, true)
 		}
 	}
+	if flags&reqHasNonce != 0 {
+		req.Nonce = d.ownedBytes()
+	}
+	if flags&reqHasSealed != 0 {
+		req.Sealed.OwnerPublicKey = d.ownedBytes()
+		req.Sealed.Ciphertext = d.ownedBytes()
+	}
+	if flags&reqHasSplit != 0 {
+		decSplit(d, &req.Split)
+	}
+}
+
+// decSplit decodes an imported column split into freshly allocated slices:
+// the split becomes table storage and must not alias the frame. Counts are
+// bounded by the bytes left in the frame before anything is allocated.
+func decSplit(d *binReader, sd *dict.SplitData) {
+	sd.Kind = dict.Kind(d.uvarint())
+	sd.Plain = d.bool()
+	sd.MaxLen = int(d.uvarint())
+	sd.BSMax = int(d.uvarint())
+	sd.EncRndOffset = d.ownedBytes()
+	if n := d.length(); n > 0 {
+		sd.AV = make([]uint32, n)
+		for i := range sd.AV {
+			sd.AV[i] = uint32(d.uvarint())
+		}
+	}
+	if n := d.length(); n > 0 {
+		sd.Head = make([]dict.EntryRef, n)
+		for i := range sd.Head {
+			sd.Head[i] = dict.EntryRef{Off: uint32(d.uvarint()), Len: uint32(d.uvarint())}
+		}
+	}
+	sd.Tail = d.ownedBytes()
+}
+
+// decQuote decodes an attestation quote, copying its fields out of the
+// frame.
+func decQuote(d *binReader, q *enclave.Quote) {
+	m := d.bytes()
+	if len(m) != len(q.Measurement) {
+		d.fail()
+		return
+	}
+	copy(q.Measurement[:], m)
+	q.PublicKey = d.ownedBytes()
+	q.Nonce = d.ownedBytes()
+	q.MAC = d.ownedBytes()
 }
 
 func decQuery(d *binReader, q *engine.Query, in *intern) {
@@ -599,6 +707,9 @@ func decFilters(d *binReader, fs []engine.Filter, in *intern) []engine.Filter {
 func decRow(d *binReader, row engine.Row, in *intern) engine.Row {
 	n := d.length()
 	if row == nil {
+		if n == 0 {
+			return nil
+		}
 		row = make(engine.Row, n)
 	} else {
 		clear(row)
@@ -631,9 +742,19 @@ func decSchema(d *binReader, sc *engine.Schema, in *intern) {
 // decResponse decodes a binary response body into resp (assumed zero).
 // Result cells alias the payload; aliases reports whether any such alias
 // was created, so the caller knows whether the frame buffer must outlive
-// the response.
+// the response. Quote fields are copied.
 func decResponse(d *binReader, resp *response) (aliases bool) {
+	return decResponseAt(d, resp, false)
+}
+
+// decResponseAt decodes a response or, when nested, a batch sub-response,
+// which like a sub-request may not carry sub-responses of its own.
+func decResponseAt(d *binReader, resp *response, nested bool) (aliases bool) {
 	flags := d.byte()
+	if nested && flags&respHasSubs != 0 {
+		d.fail()
+		return false
+	}
 	resp.N = int(d.uvarint())
 	if flags&respHasErr != 0 {
 		resp.Err = d.str()
@@ -647,8 +768,9 @@ func decResponse(d *binReader, resp *response) (aliases bool) {
 		aliases = true
 	}
 	if flags&respHasTables != 0 {
-		n := d.length()
-		resp.Tables = make([]string, n)
+		if n := d.length(); n > 0 {
+			resp.Tables = make([]string, n)
+		}
 		for i := range resp.Tables {
 			resp.Tables[i] = d.str()
 		}
@@ -657,13 +779,17 @@ func decResponse(d *binReader, resp *response) (aliases bool) {
 		decMerge(d, &resp.Merge)
 	}
 	if flags&respHasSubs != 0 {
-		n := d.length()
-		resp.Subs = make([]response, n)
+		if n := d.length(); n > 0 {
+			resp.Subs = make([]response, n)
+		}
 		for i := range resp.Subs {
-			if decResponse(d, &resp.Subs[i]) {
+			if decResponseAt(d, &resp.Subs[i], true) {
 				aliases = true
 			}
 		}
+	}
+	if flags&respHasQuote != 0 {
+		decQuote(d, &resp.Quote)
 	}
 	resp.More = flags&respMore != 0
 	return aliases
@@ -747,8 +873,7 @@ func resetResponse(resp *response) {
 	resp.More = false
 }
 
-// decodeError wraps a codec failure with the frame's announced codec for
-// the connection log.
-func decodeError(tag byte, err error) error {
-	return fmt.Errorf("wire: decode codec 0x%02x frame: %w", tag, err)
+// decodeError wraps a codec failure for the connection log.
+func decodeError(err error) error {
+	return fmt.Errorf("wire: decode frame: %w", err)
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/encdbdb/encdbdb/internal/bufpool"
 	"github.com/encdbdb/encdbdb/internal/dict"
 	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
@@ -14,8 +15,8 @@ import (
 
 // binEncode runs enc twice — once against the counting sink, once against a
 // real writer — and fails if the two passes disagree, mirroring the check
-// muxWriter performs on every v3 frame.
-func binEncode(t *testing.T, enc func(binSink)) []byte {
+// muxWriter performs on every frame.
+func binEncode(t testing.TB, enc func(binSink)) []byte {
 	t.Helper()
 	var c binCounter
 	enc(&c)
@@ -86,6 +87,23 @@ func binRequestCases() map[string]*request {
 			},
 		},
 		"cancel": {Op: opCancel, Cancel: 1 << 40},
+		"quote":  {Op: opQuote, Nonce: []byte("nonce")},
+		"provision": {
+			Op:     opProvision,
+			Sealed: enclave.SealedKey{OwnerPublicKey: bytes.Repeat([]byte{3}, 32), Ciphertext: []byte("sealed master key")},
+		},
+		"import_column": {
+			Op:     opImportColumn,
+			Table:  "t",
+			Column: "c",
+			Split: dict.SplitData{
+				Kind: dict.ED5, MaxLen: 8, BSMax: 3,
+				EncRndOffset: []byte{1, 2, 3},
+				AV:           []uint32{0, 2, 1, 1 << 20},
+				Head:         []dict.EntryRef{{Off: 0, Len: 2}, {Off: 2, Len: 0}, {Off: 2, Len: 1 << 31}},
+				Tail:         []byte("abc"),
+			},
+		},
 	}
 }
 
@@ -194,6 +212,14 @@ func binResponseCases() map[string]*response {
 			More:   true,
 			Result: &engine.Result{Count: 1, Columns: []engine.ResultColumn{{Table: "t", Column: "c", Cells: [][]byte{[]byte("v")}}}},
 		},
+		"quote": {
+			Quote: enclave.Quote{
+				Measurement: enclave.Measure("codec-test"),
+				PublicKey:   bytes.Repeat([]byte{7}, 32),
+				Nonce:       []byte("nonce"),
+				MAC:         bytes.Repeat([]byte{9}, 32),
+			},
+		},
 	}
 }
 
@@ -249,6 +275,21 @@ func TestBinDecodeCorrupt(t *testing.T) {
 	if d.err() == nil {
 		t.Error("trailing garbage accepted")
 	}
+	// Nested batches: a sub-request or sub-response carrying its own subs
+	// is malformed, which also bounds the decoder's recursion.
+	nested := &request{Op: opBatch, Subs: []request{{Op: opBatch, Subs: []request{{Op: opRows}}}}}
+	d.reset(binEncode(t, func(s binSink) { encRequest(s, nested) }))
+	resetRequest(got)
+	decRequest(&d, got, &in)
+	if d.err() == nil {
+		t.Error("nested batch request accepted")
+	}
+	nestedResp := &response{Subs: []response{{Subs: []response{{N: 1}}}}}
+	d.reset(binEncode(t, func(s binSink) { encResponse(s, nestedResp) }))
+	decResponse(&d, new(response))
+	if d.err() == nil {
+		t.Error("nested batch response accepted")
+	}
 	// Length bomb: a huge count must fail the remaining-bytes bound, not
 	// drive a huge allocation.
 	bomb := []byte{byte(opSelect), 0, 0, 0, reqHasFilters, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
@@ -261,104 +302,78 @@ func TestBinDecodeCorrupt(t *testing.T) {
 }
 
 // TestMuxWriterV3Frames exercises the full frame path: sendRequest /
-// sendResponse on a v3 writer, then readPooled + decode, covering both
-// the binary codec and the gob fallback for control ops.
+// sendResponse on a writer, then readPooled + decode, for a data-plane op
+// whose fields alias the frame and for a control op whose fields are
+// copied out of it.
 func TestMuxWriterV3Frames(t *testing.T) {
 	var buf bytes.Buffer
 	mw := newMuxWriter(&buf)
-	mw.version = protoV3
 
-	binReq := binRequestCases()["point_select"]
-	gobReq := &request{Op: opQuote, Nonce: []byte{1, 2, 3}}
-	if err := mw.sendRequest(7, binReq); err != nil {
-		t.Fatal(err)
+	cases := binRequestCases()
+	reqs := []*request{cases["point_select"], cases["import_column"]}
+	for i, req := range reqs {
+		if err := mw.sendRequest(uint64(7+i), req); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := mw.sendRequest(8, gobReq); err != nil {
-		t.Fatal(err)
-	}
-
 	pfr := frameReader{r: &buf}
 	var in intern
-	for _, want := range []struct {
-		id     uint64
-		req    *request
-		pooled bool
-		codec  byte
-	}{
-		{7, binReq, true, codecBin},
-		{8, gobReq, false, codecGob},
-	} {
+	for i, want := range reqs {
 		id, fb, err := pfr.readPooled()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id != want.id {
-			t.Fatalf("id = %d, want %d", id, want.id)
+		if id != uint64(7+i) {
+			t.Fatalf("id = %d, want %d", id, 7+i)
 		}
-		if fb.B[0] != want.codec {
-			t.Fatalf("codec tag = %#x, want %#x", fb.B[0], want.codec)
-		}
-		req, pooled, err := decodeV3Request(fb, &in)
+		req, err := decodeRequest(fb, &in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pooled != want.pooled {
-			t.Errorf("pooled = %v, want %v", pooled, want.pooled)
+		// A pooled envelope keeps emptied slices where want has nil ones,
+		// so compare only the fields each op carries.
+		if req.Op != want.Op || (want.Op == opSelect && !reflect.DeepEqual(req.Query, want.Query)) ||
+			!reflect.DeepEqual(req.Split, want.Split) {
+			t.Errorf("decoded %+v, want %+v", req, want)
 		}
-		if !reflect.DeepEqual(req.Query, want.req.Query) || req.Op != want.req.Op ||
-			!bytes.Equal(req.Nonce, want.req.Nonce) {
-			t.Errorf("decoded %+v, want %+v", req, want.req)
+		split := req.Split
+		// The imported split outlives its request: scribbling over the
+		// released frame buffer must not reach it.
+		releaseRequest(req, nil)
+		clear(fb.B)
+		bufpool.Put(fb)
+		if !reflect.DeepEqual(split, want.Split) {
+			t.Errorf("split changed with its frame buffer: %+v", split)
 		}
-		releaseRequest(req, fb, pooled)
 	}
 
-	// Response side, including the forced-gob path for quote responses.
-	binResp := binResponseCases()["result"]
-	gobResp := &response{Quote: enclave.Quote{Nonce: []byte{9}}}
-	if err := mw.sendResponse(9, binResp, false); err != nil {
+	resps := binResponseCases()
+	if err := mw.sendResponse(9, resps["result"]); err != nil {
 		t.Fatal(err)
 	}
-	if err := mw.sendResponse(10, gobResp, true); err != nil {
+	if err := mw.sendResponse(10, resps["quote"]); err != nil {
 		t.Fatal(err)
 	}
-	id, fb, err := pfr.readPooled()
-	if err != nil || id != 9 || fb.B[0] != codecBin {
-		t.Fatalf("response frame: id=%d codec=%#x err=%v", id, fb.B[0], err)
-	}
-	var d binReader
-	d.reset(fb.B[1:])
-	got := new(response)
-	if !decResponse(&d, got) {
-		t.Error("result response did not report aliasing")
-	}
-	if err := d.err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, binResp) {
-		t.Errorf("response round trip:\n got %+v\nwant %+v", got, binResp)
-	}
-	id, fb2, err := pfr.readPooled()
-	if err != nil || id != 10 || fb2.B[0] != codecGob {
-		t.Fatalf("gob response frame: id=%d codec=%#x err=%v", id, fb2.B[0], err)
-	}
-}
-
-func TestReqNeedsGob(t *testing.T) {
-	cases := []struct {
-		req  *request
-		want bool
-	}{
-		{&request{Op: opSelect}, false},
-		{&request{Op: opInsert}, false},
-		{&request{Op: opQuote}, true},
-		{&request{Op: opProvision}, true},
-		{&request{Op: opImportColumn}, true},
-		{&request{Op: opBatch, Subs: []request{{Op: opInsert}, {Op: opRows}}}, false},
-		{&request{Op: opBatch, Subs: []request{{Op: opInsert}, {Op: opImportColumn}}}, true},
-	}
-	for _, c := range cases {
-		if got := reqNeedsGob(c.req); got != c.want {
-			t.Errorf("reqNeedsGob(%v) = %v, want %v", c.req.Op, got, c.want)
+	for _, want := range []struct {
+		id      uint64
+		resp    *response
+		aliases bool
+	}{{9, resps["result"], true}, {10, resps["quote"], false}} {
+		id, fb, err := pfr.readPooled()
+		if err != nil || id != want.id {
+			t.Fatalf("response frame: id=%d err=%v", id, err)
+		}
+		var d binReader
+		d.reset(fb.B)
+		got := new(response)
+		if aliases := decResponse(&d, got); aliases != want.aliases {
+			t.Errorf("id %d: aliases = %v, want %v", id, aliases, want.aliases)
+		}
+		if err := d.err(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want.resp) {
+			t.Errorf("response round trip:\n got %+v\nwant %+v", got, want.resp)
 		}
 	}
 }

@@ -2,26 +2,41 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"github.com/encdbdb/encdbdb/internal/bufpool"
 )
 
+// writeRawFrame writes one frame — header and payload — as a peer would.
+func writeRawFrame(w io.Writer, id uint64, payload []byte) error {
+	var hdr [frameHeaderSize]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint64(hdr[4:], id)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	f := func(payload []byte) bool {
+	f := func(id uint64, payload []byte) bool {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
+		if err := writeRawFrame(&buf, id, payload); err != nil {
 			return false
 		}
 		fr := &frameReader{r: &buf}
-		defer fr.release()
-		got, err := fr.read()
+		gotID, got, err := fr.readPooled()
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, payload)
+		defer bufpool.Put(got)
+		return gotID == id && bytes.Equal(got.B, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -30,147 +45,111 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // ~4 GiB announced
+	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 1}) // ~4 GiB announced
 	fr := &frameReader{r: &buf}
-	defer fr.release()
-	if _, err := fr.read(); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := fr.readPooled(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("hello")); err != nil {
+	if err := writeRawFrame(&buf, 1, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	for _, n := range []int{0, 2, 4, len(raw) - 1} {
+	for _, n := range []int{0, 2, frameHeaderSize - 1, frameHeaderSize, len(raw) - 1} {
 		fr := &frameReader{r: bytes.NewReader(raw[:n])}
-		if _, err := fr.read(); err == nil {
+		if _, _, err := fr.readPooled(); err == nil {
 			t.Errorf("truncated frame at %d accepted", n)
 		}
-		fr.release()
 	}
 }
 
 func TestReadFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, nil); err != nil {
+	if err := writeRawFrame(&buf, 9, nil); err != nil {
 		t.Fatal(err)
 	}
 	fr := &frameReader{r: &buf}
-	defer fr.release()
-	got, err := fr.read()
+	id, got, err := fr.readPooled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Errorf("payload = %v", got)
+	if id != 9 || len(got.B) != 0 {
+		t.Errorf("frame = id %d payload %v", id, got.B)
 	}
-	if _, err := fr.read(); err != io.EOF {
+	bufpool.Put(got)
+	if _, _, err := fr.readPooled(); err != io.EOF {
 		t.Errorf("second read err = %v, want EOF", err)
 	}
 }
 
+// TestFrameReaderReusesBuffer: once a frame's buffer is released, the next
+// frame of the same size class is read into a recycled buffer rather than
+// a fresh allocation.
 func TestFrameReaderReusesBuffer(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 3; i++ {
-		if err := writeFrame(&buf, []byte("hello")); err != nil {
+		if err := writeRawFrame(&buf, uint64(i), []byte("hello")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fr := &frameReader{r: &buf}
-	first, err := fr.read()
+	_, first, err := fr.readPooled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstPtr := &first[0]
+	bufpool.Put(first)
+	misses := bufpool.Default.Stats().Misses
 	for i := 0; i < 2; i++ {
-		p, err := fr.read()
+		_, p, err := fr.readPooled()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(p) != "hello" {
-			t.Fatalf("payload = %q", p)
+		if string(p.B) != "hello" {
+			t.Fatalf("payload = %q", p.B)
 		}
-		if &p[0] != firstPtr {
-			t.Fatal("steady-state frame read reallocated the payload buffer")
-		}
+		bufpool.Put(p)
+	}
+	if got := bufpool.Default.Stats().Misses; got != misses {
+		t.Fatalf("steady-state frame reads missed the pool %d times", got-misses)
 	}
 }
 
+// TestFrameReaderCapGuard covers frames above the pool's largest class: a
+// real one is read intact across several buffer growths, and a header that
+// announces a huge frame but delivers only a few bytes costs an allocation
+// bounded by what arrived, not by what was announced.
 func TestFrameReaderCapGuard(t *testing.T) {
-	big := make([]byte, 2*bufRetainLimit)
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, big); err != nil {
-		t.Fatal(err)
+	big := make([]byte, 3*bufpool.MaxSize+7)
+	for i := range big {
+		big[i] = byte(i * 7)
 	}
-	if err := writeFrame(&buf, []byte("tiny")); err != nil {
+	var buf bytes.Buffer
+	if err := writeRawFrame(&buf, 5, big); err != nil {
 		t.Fatal(err)
 	}
 	fr := &frameReader{r: &buf}
-	p, err := fr.read()
-	if err != nil || len(p) != len(big) {
-		t.Fatalf("big read: %d bytes, %v", len(p), err)
+	id, got, err := fr.readPooled()
+	if err != nil || id != 5 || !bytes.Equal(got.B, big) {
+		t.Fatalf("big frame: id %d, %d bytes, %v", id, len(got.B), err)
 	}
-	if _, err := fr.read(); err != nil {
-		t.Fatal(err)
-	}
-	if cap(fr.buf.B) > bufRetainLimit {
-		t.Fatalf("buffer cap %d still pinned above retain limit %d after a small frame",
-			cap(fr.buf.B), bufRetainLimit)
-	}
-	fr.release()
-}
+	bufpool.Put(got)
 
-func TestMuxStreamRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	mw := newMuxWriter(&buf)
-	ids := []uint64{7, 3, 99}
-	for _, id := range ids {
-		if err := mw.send(id, &request{Op: opRows, Table: fmt.Sprintf("t%d", id)}); err != nil {
-			t.Fatal(err)
-		}
+	var lie bytes.Buffer
+	var hdr [frameHeaderSize]byte
+	binary.BigEndian.PutUint32(hdr[:4], maxFrame)
+	lie.Write(hdr[:])
+	lie.WriteString("only a few bytes")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr = &frameReader{r: &lie}
+	if _, _, err := fr.readPooled(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want a short-frame error", err)
 	}
-	mr := newMuxReader(&buf)
-	for _, want := range ids {
-		req := new(request)
-		id, err := mr.next(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != want || req.Table != fmt.Sprintf("t%d", want) {
-			t.Fatalf("got id %d table %q, want id %d", id, req.Table, want)
-		}
-	}
-	if _, err := mr.next(new(request)); err != io.EOF {
-		t.Fatalf("err = %v, want EOF at stream end", err)
-	}
-}
-
-func TestMessageCodecRoundTrip(t *testing.T) {
-	req := request{
-		Op:     opSelect,
-		Table:  "t1",
-		Column: "c",
-		Nonce:  []byte{1, 2, 3},
-	}
-	payload, err := encodeMsg(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got request
-	if err := decodeMsg(payload, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != req.Op || got.Table != req.Table || got.Column != req.Column {
-		t.Errorf("round trip = %+v", got)
-	}
-}
-
-func TestDecodeMsgRejectsGarbage(t *testing.T) {
-	var got response
-	if err := decodeMsg([]byte("not gob"), &got); err == nil {
-		t.Error("garbage decoded")
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 16<<20 {
+		t.Fatalf("a %d-byte announcement cost %d bytes of allocation", maxFrame, d)
 	}
 }

@@ -1,17 +1,24 @@
 package wire
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/encdbdb/encdbdb/internal/bufpool"
 	"github.com/encdbdb/encdbdb/internal/dict"
+	"github.com/encdbdb/encdbdb/internal/enclave"
 	"github.com/encdbdb/encdbdb/internal/engine"
 )
 
@@ -35,7 +42,7 @@ func plainSchema(table string) engine.Schema {
 	}}
 }
 
-// fakeMuxServer accepts one connection, completes the v2 negotiation, and
+// fakeMuxServer accepts one connection, completes the hello exchange, and
 // hands the connection to serve. It returns the listener address.
 func fakeMuxServer(t *testing.T, serve func(conn net.Conn)) string {
 	t.Helper()
@@ -54,7 +61,7 @@ func fakeMuxServer(t *testing.T, serve func(conn net.Conn)) string {
 			conn.Close()
 			return
 		}
-		if err := writeHello(conn, protoV2); err != nil {
+		if err := writeHello(conn, protoVersion); err != nil {
 			conn.Close()
 			return
 		}
@@ -63,65 +70,136 @@ func fakeMuxServer(t *testing.T, serve func(conn net.Conn)) string {
 	return ln.Addr().String()
 }
 
+// fakePeer scripts the server side of a connection frame by frame.
+type fakePeer struct {
+	fr frameReader
+	mw *muxWriter
+	in intern
+}
+
+func newFakePeer(conn net.Conn) *fakePeer {
+	return &fakePeer{fr: frameReader{r: conn}, mw: newMuxWriter(conn)}
+}
+
+// next reads and decodes one request. The request and its frame buffer are
+// left to the garbage collector.
+func (p *fakePeer) next() (uint64, *request, error) {
+	id, buf, err := p.fr.readPooled()
+	if err != nil {
+		return 0, nil, err
+	}
+	req, err := decodeRequest(buf, &p.in)
+	return id, req, err
+}
+
+// TestDialNegotiatesMultiplexed checks the hello: the server answers a
+// client's hello with the magic and this build's version, and Dial's
+// connection carries calls.
 func TestDialNegotiatesMultiplexed(t *testing.T) {
 	_, addr := startPlainServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeHello(conn, protoVersion); err != nil {
+		t.Fatal(err)
+	}
+	if ver, err := readHello(conn); err != nil || ver != protoVersion {
+		t.Fatalf("server hello = version %d, %v; want %d", ver, err, protoVersion)
+	}
+
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Multiplexed() {
-		t.Fatal("Dial against the new server did not negotiate multiplexing")
-	}
-	ls, err := DialLockstep(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
-	if ls.Multiplexed() {
-		t.Fatal("DialLockstep reports multiplexed")
+	if _, err := c.Tables(); err != nil {
+		t.Fatalf("Tables: %v", err)
 	}
 }
 
-// TestLockstepClientInterop drives a byte-exact v1 client (no negotiation
-// frames, strict request/response alternation) against the new server.
-func TestLockstepClientInterop(t *testing.T) {
+// TestServerRefusesBadHello: a connection that opens with a hello naming
+// another version, with no hello at all (an old lock-step client's first
+// frame), or with garbage is closed without a reply, and the server keeps
+// serving fresh clients after each.
+func TestServerRefusesBadHello(t *testing.T) {
 	_, addr := startPlainServer(t)
-	c, err := DialLockstep(addr)
+	var oldHello bytes.Buffer
+	if err := writeHello(&oldHello, 3); err != nil {
+		t.Fatal(err)
+	}
+	for name, opening := range map[string][]byte{
+		"old_version": oldHello.Bytes(),
+		// A lock-step client's first frame: a 4-byte length, then a
+		// self-contained gob document.
+		"no_hello": {0, 0, 0, 9, 0x07, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07, 0x72, 0x65},
+		"garbage":  []byte("GET / HTTP/1.1\r\n\r\n"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(opening); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			n, err := io.ReadFull(conn, make([]byte, 5))
+			if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("read %d bytes, err = %v; want the server to close without a reply", n, err)
+			}
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Tables(); err != nil {
+				t.Fatalf("Tables after a refused hello: %v", err)
+			}
+		})
+	}
+}
+
+// TestDialRejectsOtherVersion: Dial against a server that answers with
+// another protocol version fails, and does not redial.
+func TestDialRejectsOtherVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.CreateTable(plainSchema("v1t")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := c.Insert(context.Background(), "v1t", engine.Row{"c": []byte{'a' + byte(i)}}); err != nil {
-			t.Fatal(err)
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
+		defer conn.Close()
+		if _, err := readHello(conn); err != nil {
+			return
+		}
+		if err := writeHello(conn, 3); err != nil {
+			return
+		}
+		io.Copy(io.Discard, conn) //nolint:errcheck // until the client hangs up
+	}()
+	if c, err := Dial(ln.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a server answering protocol version 3")
 	}
-	n, err := c.Rows("v1t")
-	if err != nil || n != 5 {
-		t.Fatalf("rows = %d, %v", n, err)
-	}
-	tables, err := c.Tables()
-	if err != nil || len(tables) != 1 {
-		t.Fatalf("tables = %v, %v", tables, err)
-	}
-	// InsertBatch degrades to per-row round trips on lock-step connections
-	// (a genuine v1 server has no batch envelope).
-	if err := c.InsertBatch(context.Background(), "v1t", []engine.Row{{"c": []byte("x")}, {"c": []byte("y")}}); err != nil {
+	<-served
+	// Any redial would be waiting in the accept queue by now.
+	if err := ln.(*net.TCPListener).SetDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := c.Rows("v1t"); n != 7 {
-		t.Fatalf("rows after batch = %d, want 7", n)
-	}
-	// The opBatch envelope itself still works over lock-step framing
-	// against this server (it is the framing, not the op set, that v1
-	// fixes).
-	resps, err := c.callBatch(context.Background(), []request{{Op: opRows, Table: "v1t"}})
-	if err != nil || len(resps) != 1 || resps[0].N != 7 {
-		t.Fatalf("lock-step callBatch = %+v, %v", resps, err)
+	if conn, err := ln.Accept(); err == nil {
+		conn.Close()
+		t.Fatal("Dial redialed after the version mismatch")
 	}
 }
 
@@ -174,10 +252,9 @@ func TestMidStreamDropFailsAllPending(t *testing.T) {
 	addr := fakeMuxServer(t, func(conn net.Conn) {
 		// Swallow requests without answering, then drop the connection
 		// mid-stream once several calls are pending.
-		mr := newMuxReader(conn)
+		p := newFakePeer(conn)
 		for i := 0; i < 4; i++ {
-			req := new(request)
-			if _, err := mr.next(req); err != nil {
+			if _, _, err := p.next(); err != nil {
 				break
 			}
 			received <- struct{}{}
@@ -220,9 +297,7 @@ func TestOversizedFrameClientSide(t *testing.T) {
 		hdr[1] = 0xFF
 		hdr[2] = 0xFF
 		hdr[3] = 0xFF
-		mr := newMuxReader(conn)
-		req := new(request)
-		if _, err := mr.next(req); err != nil {
+		if _, _, err := newFakePeer(conn).next(); err != nil {
 			return
 		}
 		conn.Write(hdr[:]) //nolint:errcheck
@@ -246,7 +321,7 @@ func TestOversizedFrameServerSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeHello(conn, protoV2); err != nil {
+	if err := writeHello(conn, protoVersion); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readHello(conn); err != nil {
@@ -275,22 +350,112 @@ func TestOversizedFrameServerSide(t *testing.T) {
 	}
 }
 
+// TestAnnouncedFrameServerSide: a peer that announces a maximum-size frame
+// and then hangs up makes the server allocate in proportion to the bytes
+// it sent, not the size it announced; the connection is dropped and the
+// server keeps serving fresh clients.
+func TestAnnouncedFrameServerSide(t *testing.T) {
+	_, addr := startPlainServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeHello(conn, protoVersion); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [frameHeaderSize]byte
+	binary.BigEndian.PutUint32(hdr[:4], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	// The server drops the connection once the frame comes up short...
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("read %d bytes, err = %v; want the server to drop the connection", n, err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 16<<20 {
+		t.Fatalf("a %d-byte frame announcement cost %d bytes of allocation", maxFrame, d)
+	}
+	// ...while still serving fresh clients.
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Tables(); err != nil {
+		t.Fatalf("Tables after a short frame: %v", err)
+	}
+}
+
+// TestImportColumnLargeFrame imports a 1M-row split, whose frame is larger
+// than the biggest pooled buffer, and checks the provider serves it.
+func TestImportColumnLargeFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-row import")
+	}
+	_, addr := startPlainServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTable(plainSchema("big")); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 1_000_000
+	col := make([][]byte, rows)
+	for i := range col {
+		col[i] = fmt.Appendf(nil, "v%04d", i%1000)
+	}
+	split, err := dict.Build(col, dict.Params{Kind: dict.ED1, MaxLen: 8, Plain: true, Rand: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size binCounter
+	encRequest(&size, &request{Op: opImportColumn, Table: "big", Column: "c", Split: split.Data()})
+	if size.n <= bufpool.MaxSize {
+		t.Fatalf("import frame is %d bytes, want more than %d", size.n, bufpool.MaxSize)
+	}
+	if err := c.ImportColumn("big", "c", split.Data()); err != nil {
+		t.Fatalf("ImportColumn: %v", err)
+	}
+	if n, err := c.Rows("big"); err != nil || n != rows {
+		t.Fatalf("Rows = %d, %v; want %d", n, err, rows)
+	}
+	res, err := c.Select(context.Background(), engine.Query{Table: "big", CountOnly: true, Filters: []engine.Filter{
+		engine.SingleRange("c", enclave.EncRange{Start: []byte("v0007"), End: []byte("v0007"), StartIncl: true, EndIncl: true}),
+	}})
+	if err != nil || res.Count != rows/1000 {
+		t.Fatalf("Select count = %v, %v; want %d", res, err, rows/1000)
+	}
+}
+
 // TestUnknownResponseID: a response whose ID matches no in-flight request is
 // discarded and the connection stays usable — that is exactly the shape a
 // late answer to a context-cancelled (abandoned) call has, so it must not
 // poison the stream.
 func TestUnknownResponseID(t *testing.T) {
 	addr := fakeMuxServer(t, func(conn net.Conn) {
-		mr := newMuxReader(conn)
-		mw := newMuxWriter(conn)
-		req := new(request)
-		id, err := mr.next(req)
+		p := newFakePeer(conn)
+		id, _, err := p.next()
 		if err != nil {
 			return
 		}
 		// A stray ID the client never issued, then the real answer.
-		mw.send(999_999, &response{N: 7})             //nolint:errcheck
-		mw.send(id, &response{Tables: []string{"t"}}) //nolint:errcheck
+		p.mw.sendResponse(999_999, &response{N: 7})             //nolint:errcheck
+		p.mw.sendResponse(id, &response{Tables: []string{"t"}}) //nolint:errcheck
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -308,21 +473,19 @@ func TestUnknownResponseID(t *testing.T) {
 // without disturbing later calls.
 func TestDuplicateResponseID(t *testing.T) {
 	addr := fakeMuxServer(t, func(conn net.Conn) {
-		mr := newMuxReader(conn)
-		mw := newMuxWriter(conn)
-		req := new(request)
-		id, err := mr.next(req)
+		p := newFakePeer(conn)
+		id, _, err := p.next()
 		if err != nil {
 			return
 		}
-		mw.send(id, &response{N: 1}) //nolint:errcheck
-		mw.send(id, &response{N: 2}) //nolint:errcheck
+		p.mw.sendResponse(id, &response{N: 1}) //nolint:errcheck
+		p.mw.sendResponse(id, &response{N: 2}) //nolint:errcheck
 		// Serve the follow-up call normally.
-		id2, err := mr.next(req)
+		id2, _, err := p.next()
 		if err != nil {
 			return
 		}
-		mw.send(id2, &response{N: 3}) //nolint:errcheck
+		p.mw.sendResponse(id2, &response{N: 3}) //nolint:errcheck
 	})
 	c, err := Dial(addr)
 	if err != nil {
